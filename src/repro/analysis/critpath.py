@@ -19,7 +19,9 @@ Three toolkits:
   longest spine of each wave.
 * **Abort chains** (:func:`abort_chains`) — walks ``rc_wa_abort``
   links, mapping every rule-(ii) victim back to the committing Wa
-  transaction's span.
+  transaction's span.  :func:`planned_deferrals` gives the same
+  provenance for the victims Rc wave planning deferred before they
+  took a lock: each names the admitted writer that placed it.
 * **Bench regression diff** (:func:`diff_bench`) — compares two
   ``BENCH_*.json`` files (the benchmark harness output) value by
   value with a configurable relative tolerance; ``repro obs diff``
@@ -69,6 +71,8 @@ class SpanNode:
     fields: dict
     links: list[tuple[int, str]]
     children: list["SpanNode"] = field(default_factory=list)
+    #: ``(name, fields)`` point events, in recording order.
+    events: list[tuple[str, dict]] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
@@ -95,6 +99,13 @@ def _normalize(spans: Iterable) -> list[SpanNode]:
                         (link["target"], link.get("kind", "causes"))
                         for link in span.get("links", [])
                     ],
+                    events=[
+                        (event["name"], {
+                            k: v for k, v in event.items()
+                            if k not in ("ts", "name")
+                        })
+                        for event in span.get("events", [])
+                    ],
                 )
             )
         else:  # live Span
@@ -107,6 +118,10 @@ def _normalize(spans: Iterable) -> list[SpanNode]:
                     end=span.end,
                     fields=dict(span.fields),
                     links=list(span.links),
+                    events=[
+                        (name, dict(fields))
+                        for _, name, fields in span.events
+                    ],
                 )
             )
     return out
@@ -402,6 +417,42 @@ def abort_chains(spans: Iterable) -> list[AbortChain]:
                 )
             )
     out.sort(key=lambda c: (c.victim_span, c.committer_span))
+    return out
+
+
+@dataclass
+class PlannedDeferral:
+    """One certain rule-(ii) victim that Rc wave planning deferred,
+    mapped to the admitted writer whose commit would have aborted it."""
+
+    wave: int
+    rule: str
+    writer_rule: str
+    writer_txn: str
+    objs: tuple[str, ...]
+
+
+def planned_deferrals(spans: Iterable) -> list[PlannedDeferral]:
+    """Every ``rc.planned_deferral`` event on a ``phase.acquire`` span."""
+    roots, by_id = build_tree(spans)
+    out: list[PlannedDeferral] = []
+    for node in by_id.values():
+        if node.name != "phase.acquire":
+            continue
+        cycle = by_id.get(node.parent_id)
+        wave = int(cycle.fields.get("wave", 0)) if cycle is not None else 0
+        for name, fields in node.events:
+            if name != "rc.planned_deferral":
+                continue
+            out.append(
+                PlannedDeferral(
+                    wave=wave,
+                    rule=str(fields.get("rule", "?")),
+                    writer_rule=str(fields.get("writer", "?")),
+                    writer_txn=str(fields.get("writer_txn", "?")),
+                    objs=tuple(str(o) for o in fields.get("objs", ())),
+                )
+            )
     return out
 
 

@@ -402,6 +402,7 @@ def _render_obs_report(observer, top: int = 10) -> str:
         coverage,
         cycle_breakdowns,
         makespan,
+        planned_deferrals,
         shard_attribution,
     )
 
@@ -468,6 +469,21 @@ def _render_obs_report(observer, top: int = 10) -> str:
                 f"  {c.victim_rule:<16} {c.victim_txn:<6} <- "
                 f"{c.committer_rule:<16} {c.committer_txn:<6} "
                 f"{', '.join(c.objs) or '-'}"
+            )
+    deferrals = planned_deferrals(spans)
+    lines.append(
+        f"rc wave planning: {len(deferrals)} deferred before locking "
+        "(certain rule-(ii) victims)"
+    )
+    if deferrals:
+        lines.append(
+            f"  {'wave':>4} {'deferred':<16} <- {'writer':<16} "
+            f"{'txn':<6} objects"
+        )
+        for d in deferrals:
+            lines.append(
+                f"  {d.wave:>4} {d.rule:<16} <- {d.writer_rule:<16} "
+                f"{d.writer_txn:<6} {', '.join(d.objs) or '-'}"
             )
 
     lines.append("")

@@ -16,6 +16,7 @@ still replay single-threaded, which the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from repro.engine.parallel import ParallelEngine, SchemeName
@@ -107,13 +108,7 @@ class MultiUserEngine(ParallelEngine):
             buckets.setdefault(user, []).append(candidate)
         # Order within each bucket by the base strategy.
         for user, candidates in buckets.items():
-            ordered: list[Instantiation] = []
-            pool = list(candidates)
-            while pool:
-                chosen = self.strategy.select(pool)
-                ordered.append(chosen)
-                pool.remove(chosen)
-            buckets[user] = ordered
+            buckets[user] = self.strategy.order(candidates)
         # Rotate the user list so the lead changes every wave.
         if self._users:
             rotation = (
@@ -122,14 +117,15 @@ class MultiUserEngine(ParallelEngine):
             self._turn = (self._turn + 1) % len(self._users)
         else:  # pragma: no cover - engines always have sessions
             rotation = list(buckets)
-        interleaved: list[Instantiation] = []
-        index = 0
-        while any(buckets.get(user) for user in rotation):
-            user = rotation[index % len(rotation)]
-            index += 1
-            bucket = buckets.get(user)
-            if bucket:
-                interleaved.append(bucket.pop(0))
+        # Round-robin: each user's best, then each user's second, ...
+        interleaved = [
+            candidate
+            for tier in zip_longest(
+                *(buckets[user] for user in rotation if user in buckets)
+            )
+            for candidate in tier
+            if candidate is not None
+        ]
         if self.processors is not None:
             interleaved = interleaved[: self.processors]
         return interleaved

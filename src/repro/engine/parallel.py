@@ -4,11 +4,15 @@ Executes *waves* of logically concurrent firings under either lock
 scheme (Section 4.2's 2PL or Section 4.3's Rc/Ra/Wa):
 
 1. The wave's candidates are the eligible instantiations (at most
-   ``processors`` of them, Section 5's ``Np``).
+   ``processors`` of them, Section 5's ``Np``), in conflict-resolution
+   order (one :meth:`Strategy.order` sort).
 2. Every candidate acquires condition locks (``R``/``Rc``) on the data
    objects its LHS examined — tuple-level for matched WMEs, relation
    level (SYSTEM-CATALOG tuple) for negated condition elements, per
-   Section 4.3's escalation rule.
+   Section 4.3's escalation rule.  Under Rc, a candidate whose reads
+   meet the writes of a candidate admitted earlier in the wave is
+   deferred first, without a transaction or a lock: step 3's rule (ii)
+   would certainly abort it (*wave planning*).
 3. Candidates then execute their RHSs in conflict-resolution order,
    each acquiring its action locks at RHS start:
 
@@ -40,10 +44,6 @@ from repro.engine.actions import ActionExecutor
 from repro.engine.interpreter import MatcherName, build_matcher
 from repro.engine.result import FiringRecord, RunResult
 from repro.errors import EngineError, FiringCrashed
-from repro.core.interference import (
-    instantiation_read_objects,
-    instantiation_write_objects,
-)
 from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy, VirtualSleeper
 from repro.lang.production import Production
@@ -158,6 +158,8 @@ class ParallelEngine:
         else:
             raise EngineError(f"unknown scheme {scheme!r}")
         self._preclaims = getattr(self.scheme, "preclaims", False)
+        #: Rc waves defer rule (ii)'s certain victims before locking.
+        self._plans_waves = scheme == "rc"
         self.processors = processors
         self.executor = ActionExecutor(self.memory)
         self.result = RunResult()
@@ -237,15 +239,11 @@ class ParallelEngine:
         )
 
     def _ordered_candidates(self) -> list[Instantiation]:
-        """Eligible instantiations in conflict-resolution order."""
-        remaining = self._eligible_candidates()
-        ordered: list[Instantiation] = []
-        while remaining:
-            chosen = self.strategy.select(remaining)
-            ordered.append(chosen)
-            remaining.remove(chosen)
+        """The wave: the first ``Np`` eligible instantiations in
+        conflict-resolution order."""
+        ordered = self.strategy.order(self._eligible_candidates())
         if self.processors is not None:
-            ordered = ordered[: self.processors]
+            del ordered[self.processors:]
         return ordered
 
     def _span_fields(self, instantiation: Instantiation) -> dict:
@@ -320,6 +318,14 @@ class ParallelEngine:
         Under the conservative (preclaiming) scheme the whole
         footprint — condition reads AND action writes — is taken
         atomically here.
+
+        Under Rc the wave is also *planned* here: ``Wa`` never blocks
+        in phase 2, so every admitted candidate commits and, by rule
+        (ii), aborts each later candidate whose reads its writes meet.
+        Such a certain victim is deferred before it gets a transaction
+        or takes a lock (Section 4.1's dynamic interference test
+        applied inside Section 4.3's scheme); the commit sequence is
+        the one rule (ii) would have left.
         """
         slots: list[tuple[Instantiation, Transaction]] = []
         phase_span = (
@@ -327,10 +333,27 @@ class ParallelEngine:
             if spans is not None else None
         )
         obs = self.obs
+        #: Under Rc: each object written by an admitted candidate,
+        #: mapped to the slot of the first admitted writer.
+        written: dict | None = {} if self._plans_waves else None
         for instantiation in candidates:
+            acq_start = obs.clock() if obs.enabled else 0.0
+            reads = instantiation.read_objects()
+            if written is not None:
+                writers = [written[o] for o in reads if o in written]
+                if writers:
+                    self._defer_certain_victim(
+                        wave, instantiation, slots[min(writers)],
+                        phase_span,
+                    )
+                    if obs.enabled:
+                        obs.acquire_finished(
+                            instantiation.production.name, None,
+                            obs.clock() - acq_start,
+                        )
+                    continue
             txn = Transaction(rule_name=instantiation.production.name)
             acq = None
-            acq_start = obs.clock() if obs.enabled else 0.0
             if spans is not None:
                 acq = spans.start(
                     "acquire", parent=phase_span,
@@ -338,7 +361,6 @@ class ParallelEngine:
                     **self._span_fields(instantiation),
                 )
                 spans.bind(txn.txn_id, acq)
-            reads = instantiation_read_objects(instantiation)
             denied_by_fault = self._fault_denies_locks(
                 txn, reads, self.scheme.condition_mode
             )
@@ -349,8 +371,7 @@ class ParallelEngine:
                     txn,
                     reads=sorted(reads, key=repr),
                     writes=sorted(
-                        instantiation_write_objects(instantiation),
-                        key=repr,
+                        instantiation.write_objects(), key=repr
                     ),
                 )
             else:
@@ -360,6 +381,9 @@ class ParallelEngine:
                 )
             if granted:
                 slots.append((instantiation, txn))
+                if written is not None:
+                    for obj in instantiation.write_objects():
+                        written.setdefault(obj, len(slots) - 1)
                 if acq is not None:
                     # The binding stays on the acquire span until the
                     # firing span takes over in phase 2, so a
@@ -391,6 +415,27 @@ class ParallelEngine:
                 candidates=len(candidates), granted=len(slots)
             )
         return slots
+
+    def _defer_certain_victim(
+        self, wave: WaveResult, instantiation: Instantiation,
+        writer: tuple[Instantiation, Transaction], phase_span,
+    ) -> None:
+        """Defer a candidate an admitted writer's commit would abort.
+
+        It is charged as the rule-(ii) victim it would have been, and
+        the deferral names the writer that placed it.
+        """
+        wave.deferred.append(instantiation.production.name)
+        self._note_failure(instantiation, "rule-ii-victim")
+        if self.obs.enabled:
+            writer_inst, writer_txn = writer
+            self.obs.planned_deferral(
+                instantiation.production.name,
+                writer_inst.production.name,
+                writer_txn.txn_id,
+                instantiation.read_objects() & writer_inst.write_objects(),
+                span=phase_span,
+            )
 
     def _act_phase(
         self, wave: WaveResult, slots, spans, cycle_span
@@ -435,7 +480,8 @@ class ParallelEngine:
         """Drive one granted candidate through RHS + commit."""
         obs = self.obs
         if txn.is_aborted:
-            # Rule (ii) victim of an earlier commit in this wave.
+            # Rule (ii) victim of an earlier commit in this wave (wave
+            # planning defers these before they lock; kept as a guard).
             self.scheme.abort(txn, "rule (ii) victim")
             wave.aborted.append(instantiation.production.name)
             self.abort_count += 1
@@ -449,7 +495,7 @@ class ParallelEngine:
             wave.aborted.append(instantiation.production.name)
             self.abort_count += 1
             return
-        writes = instantiation_write_objects(instantiation)
+        writes = instantiation.write_objects()
         denied_by_fault = self._fault_denies_locks(
             txn, writes, self.scheme.action_write_mode
         )

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
+from repro.lang.ast import MakeAction, ModifyAction, RemoveAction
 from repro.lang.production import Production
-from repro.wm.element import Scalar, WME
+from repro.wm.element import Scalar, WME, data_object_key
+from repro.wm.schema import Catalog
 
 if TYPE_CHECKING:
     from repro.lang.compile import SlotToken, VariableIndex
+    from repro.txn.transaction import DataObject
 
 
 class Instantiation:
@@ -58,6 +61,8 @@ class Instantiation:
         "_hash",
         "_recency_key",
         "_mea_key",
+        "_read_objects",
+        "_write_objects",
     )
 
     def __init__(
@@ -84,6 +89,11 @@ class Instantiation:
         self._identity = identity
         self._hash = hash(identity)
         self._recency_key = recency
+        # Lock footprints are computed on first use: only the parallel
+        # engines need them, and then once per instantiation, not once
+        # per wave it stays a candidate.
+        self._read_objects = None
+        self._write_objects = None
         # -1, not 0: timetags are non-negative and a freshly recovered
         # store legitimately starts at timetag 0, so 0 as the no-WMEs
         # sentinel would tie an all-negated instantiation with one
@@ -187,6 +197,44 @@ class Instantiation:
         the no-positive-WMEs case (real timetags are non-negative).
         """
         return self._mea_key
+
+    def read_objects(self) -> frozenset[DataObject]:
+        """Data objects the LHS read (lazy, cached).
+
+        Matched WMEs are read at tuple granularity; negated condition
+        elements read *absence*, protected at relation level via the
+        catalog key (Section 4.3's escalation argument).
+        """
+        objects = self._read_objects
+        if objects is None:
+            found: set[DataObject] = {data_object_key(w) for w in self.wmes}
+            for element in self.production.negative_elements():
+                found.add(Catalog.catalog_lock_key(element.relation))
+            objects = self._read_objects = frozenset(found)
+        return objects
+
+    def write_objects(self) -> frozenset[DataObject]:
+        """Data objects the RHS will write (lazy, cached).
+
+        ``modify``/``remove`` write the matched tuples; ``make`` writes
+        a fresh tuple whose key is unknown before execution, so
+        membership changes are protected at relation level (the
+        catalog key), which also covers negative-condition
+        invalidation.
+        """
+        objects = self._write_objects
+        if objects is None:
+            positive = self.production.positive_indices()
+            found: set[DataObject] = set()
+            for action in self.production.rhs:
+                if isinstance(action, (ModifyAction, RemoveAction)):
+                    wme = self.wmes[positive.index(action.ce_index - 1)]
+                    found.add(data_object_key(wme))
+                    found.add(Catalog.catalog_lock_key(wme.relation))
+                elif isinstance(action, MakeAction):
+                    found.add(Catalog.catalog_lock_key(action.relation))
+            objects = self._write_objects = frozenset(found)
+        return objects
 
     def mentions(self, wme: WME) -> bool:
         """True when ``wme`` is one of the matched elements."""

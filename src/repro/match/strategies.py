@@ -18,13 +18,22 @@ from repro.match.instantiation import Instantiation
 
 @runtime_checkable
 class Strategy(Protocol):
-    """Picks the dominant instantiation from a non-empty candidate list."""
+    """Picks the dominant instantiation from a non-empty candidate list.
+
+    ``order`` ranks a whole list at once: it equals calling ``select``
+    and removing the pick until the list is empty, ties included, but
+    sorts once instead of scanning once per pick.
+    """
 
     name: str
 
     def select(
         self, candidates: Sequence[Instantiation]
     ) -> Instantiation: ...
+
+    def order(
+        self, candidates: Sequence[Instantiation]
+    ) -> list[Instantiation]: ...
 
 
 class LexStrategy:
@@ -36,6 +45,12 @@ class LexStrategy:
     def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
         return max(candidates, key=_lex_key)
 
+    def order(
+        self, candidates: Sequence[Instantiation]
+    ) -> list[Instantiation]:
+        # A stable descending sort keeps max()'s first-of-equals pick.
+        return sorted(candidates, key=_lex_key, reverse=True)
+
 
 class MeaStrategy:
     """OPS5 MEA: recency of the first condition element dominates,
@@ -44,10 +59,12 @@ class MeaStrategy:
     name = "mea"
 
     def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        return max(
-            candidates,
-            key=lambda inst: (inst.mea_key(), _lex_key(inst)),
-        )
+        return max(candidates, key=_mea_key)
+
+    def order(
+        self, candidates: Sequence[Instantiation]
+    ) -> list[Instantiation]:
+        return sorted(candidates, key=_mea_key, reverse=True)
 
 
 class PriorityStrategy:
@@ -56,10 +73,12 @@ class PriorityStrategy:
     name = "priority"
 
     def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        return max(
-            candidates,
-            key=lambda inst: (inst.production.priority, _lex_key(inst)),
-        )
+        return max(candidates, key=_priority_key)
+
+    def order(
+        self, candidates: Sequence[Instantiation]
+    ) -> list[Instantiation]:
+        return sorted(candidates, key=_priority_key, reverse=True)
 
 
 class FifoStrategy:
@@ -68,7 +87,12 @@ class FifoStrategy:
     name = "fifo"
 
     def select(self, candidates: Sequence[Instantiation]) -> Instantiation:
-        return min(candidates, key=lambda inst: inst.recency_key())
+        return min(candidates, key=_recency_key)
+
+    def order(
+        self, candidates: Sequence[Instantiation]
+    ) -> list[Instantiation]:
+        return sorted(candidates, key=_recency_key)
 
 
 class RandomStrategy:
@@ -87,6 +111,15 @@ class RandomStrategy:
         ordered = sorted(candidates, key=_stable_key)
         return ordered[self._rng.randrange(len(ordered))]
 
+    def order(
+        self, candidates: Sequence[Instantiation]
+    ) -> list[Instantiation]:
+        # One draw per pick, as select would make: removing a pick
+        # leaves the rest sorted, so sort once and pop.
+        pool = sorted(candidates, key=_stable_key)
+        randrange = self._rng.randrange
+        return [pool.pop(randrange(len(pool))) for _ in range(len(pool))]
+
 
 def _specificity(instantiation: Instantiation) -> int:
     return sum(len(ce.tests) for ce in instantiation.production.lhs)
@@ -100,6 +133,18 @@ def _lex_key(instantiation: Instantiation) -> tuple:
         # but arbitrary; only reached for fully tied instantiations.
         tuple(-ord(c) for c in instantiation.production.name),
     )
+
+
+def _recency_key(instantiation: Instantiation) -> tuple[int, ...]:
+    return instantiation.recency_key()
+
+
+def _mea_key(instantiation: Instantiation) -> tuple:
+    return (instantiation.mea_key(), _lex_key(instantiation))
+
+
+def _priority_key(instantiation: Instantiation) -> tuple:
+    return (instantiation.production.priority, _lex_key(instantiation))
 
 
 def _stable_key(instantiation: Instantiation) -> tuple:

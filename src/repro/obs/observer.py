@@ -184,6 +184,7 @@ class Observer:
         self._c_txn_aborts = m.counter("txn.aborts")
         self._c_rule_ii = m.counter("rc.rule_ii_aborts")
         self._c_revalidated = m.counter("rc.revalidated")
+        self._c_planned = m.counter("rc.planned_deferrals")
         self._c_waves = m.counter("wave.count")
         self._c_fire_committed = m.counter("firing.committed")
         self._c_fire_aborted = m.counter("firing.aborted")
@@ -356,6 +357,33 @@ class Observer:
                     "rc.rule_ii_abort", victim=victim_id, objs=objs
                 )
 
+    def planned_deferral(
+        self, rule: str, writer_rule: str, writer_txn: str,
+        objs: Iterable[object], span: Span | None = None,
+    ) -> None:
+        """Wave planning deferred a candidate rule (ii) would kill.
+
+        Under Rc, an admitted candidate's commit aborts every later
+        candidate whose reads its writes meet, so the engine defers
+        those before they take a lock.  The event names the deferred
+        rule, the admitted writer that placed it and the objects they
+        share — on ``span`` (the wave's ``phase.acquire``) when given.
+        """
+        self._c_planned.inc()
+        if not self._trace_on and span is None:
+            return
+        objs = tuple(sorted(repr(o) for o in objs))
+        if self._trace_on:
+            self.trace.emit(
+                "rc.planned_deferral", rule=rule, writer=writer_rule,
+                writer_txn=writer_txn, objs=objs,
+            )
+        if span is not None:
+            span.event(
+                "rc.planned_deferral", rule=rule, writer=writer_rule,
+                writer_txn=writer_txn, objs=objs,
+            )
+
     def revalidation_spared(
         self, holder_id: str, committer_id: str
     ) -> None:
@@ -439,9 +467,10 @@ class Observer:
     # -- profiler feeds (span-close timings from the engines) ------------------------------
 
     def acquire_finished(
-        self, rule: str, txn_id: str, seconds: float
+        self, rule: str, txn_id: str | None, seconds: float
     ) -> None:
-        """A candidate's condition-lock acquisition closed."""
+        """A candidate's condition-lock acquisition closed (``txn_id``
+        is None for a candidate deferred before it took a lock)."""
         self.profiler.record_acquire(rule, txn_id, seconds)
 
     def firing_finished(

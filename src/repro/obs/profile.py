@@ -110,7 +110,7 @@ class RuleProfiler:
             self._stats(MATCH_RULE).match += seconds
 
     def record_acquire(
-        self, rule: str, txn_id: str, seconds: float
+        self, rule: str, txn_id: str | None, seconds: float
     ) -> None:
         """An acquire span closed: claim the txn's parked lock wait."""
         with self._mutex:

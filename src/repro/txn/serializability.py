@@ -39,45 +39,62 @@ def precedence_graph(
     Edge ``a -> b`` when some operation of ``a`` conflicts with and
     precedes some operation of ``b``.  By default only committed
     transactions participate (the committed projection).
+
+    One pass over the operations: per object, the transactions that
+    have accessed it and those that have written it so far, so a
+    write draws an edge from every earlier accessor and a read from
+    every earlier writer.  Operations on different objects are never
+    compared.
     """
     source = history.committed_projection() if committed_only else history
-    ops = source.operations()
-    graph: dict[str, set[str]] = defaultdict(set)
-    for txn_id in source.transactions():
-        graph.setdefault(txn_id, set())
-    for i, earlier in enumerate(ops):
-        for later in ops[i + 1:]:
-            if conflicts(earlier, later):
-                graph[earlier.txn_id].add(later.txn_id)
-    return dict(graph)
+    graph: dict[str, set[str]] = {
+        txn_id: set() for txn_id in source.transactions()
+    }
+    accessed: dict = defaultdict(set)  # obj -> txns that touched it
+    written: dict = defaultdict(set)  # obj -> txns that wrote it
+    for op in source.operations():
+        if op.kind not in (READ, WRITE):
+            continue
+        txn_id = op.txn_id
+        earlier = accessed[op.obj] if op.kind == WRITE else written[op.obj]
+        for other in earlier:
+            if other != txn_id:
+                graph[other].add(txn_id)
+        accessed[op.obj].add(txn_id)
+        if op.kind == WRITE:
+            written[op.obj].add(txn_id)
+    return graph
 
 
 def _find_cycle(graph: dict[str, set[str]]) -> tuple[str, ...] | None:
-    """Return one cycle as a node tuple, or ``None`` when acyclic."""
+    """Return one cycle as a node tuple, or ``None`` when acyclic.
+
+    Iterative depth-first search (a long dependency chain must not
+    exhaust the interpreter's recursion limit); successors are visited
+    in sorted order.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {node: WHITE for node in graph}
-    stack: list[str] = []
-
-    def visit(node: str) -> tuple[str, ...] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for successor in sorted(graph.get(node, ())):
-            if color.get(successor, WHITE) == GRAY:
-                start = stack.index(successor)
-                return tuple(stack[start:] + [successor])
-            if color.get(successor, WHITE) == WHITE:
-                found = visit(successor)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(graph):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found is not None:
-                return found
+    for root in sorted(graph):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(sorted(graph.get(root, ())))]
+        while pending:
+            successor = next(pending[-1], None)
+            if successor is None:
+                pending.pop()
+                color[path.pop()] = BLACK
+                continue
+            state = color.get(successor, WHITE)
+            if state == GRAY:
+                start = path.index(successor)
+                return tuple(path[start:] + [successor])
+            if state == WHITE:
+                color[successor] = GRAY
+                path.append(successor)
+                pending.append(iter(sorted(graph.get(successor, ()))))
     return None
 
 

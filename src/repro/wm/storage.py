@@ -30,17 +30,19 @@ On-disk layout
 
 Durability modes
 ----------------
+Every record goes to the OS in one unbuffered write before the delta
+returns, so no mode needs a per-record ``flush``.
+
 ``"always"``
-    ``flush`` + ``fsync`` after every record; directory fsync after
+    ``fsync`` after every record; directory fsync after
     every file creation, rename, and deletion.  Survives power loss up
     to the last acknowledged delta.
 ``"batch"``
-    ``flush`` per record; ``fsync`` only when a segment is sealed, at
-    checkpoint/compaction boundaries, and on close.  Survives process
-    crash up to the last delta, power loss up to the last boundary.
+    ``fsync`` only when a segment is sealed, at checkpoint/compaction
+    boundaries, and on close.  Survives process crash up to the last
+    delta, power loss up to the last boundary.
 ``"none"``
-    ``flush`` per record, no fsync ever.  For benchmarks and bulk
-    loads.
+    No fsync ever.  For benchmarks and bulk loads.
 
 Crash-safety invariants
 -----------------------
@@ -126,6 +128,14 @@ def deserialize_wme(payload: dict) -> WME:
         raise WorkingMemoryError(f"corrupt WME record: {payload!r}") from exc
 
 
+def _write_all(handle: IO[bytes], data: bytes) -> None:
+    """Write all of ``data`` to an unbuffered handle (a raw write may
+    be short)."""
+    view = memoryview(data)
+    while view:
+        view = view[handle.write(view):]
+
+
 def _segment_filename(first_lsn: int) -> str:
     return f"{_SEGMENT_PREFIX}{first_lsn:016d}{_SEGMENT_SUFFIX}"
 
@@ -197,7 +207,8 @@ class DurableStore:
     Parameters
     ----------
     memory:
-        The working memory to journal.
+        The working memory to journal.  Attaching to a non-empty
+        memory checkpoints it at once, so the directory recovers.
     directory:
         Storage directory (created if missing).
     fault_injector:
@@ -235,6 +246,11 @@ class DurableStore:
             start_lsn=0,
             sealed=(),
         )
+        if len(memory):
+            # The WAL only journals deltas from here on: without a
+            # snapshot of the elements already present, recovery would
+            # replay removes and modifies of elements it never saw.
+            self.checkpoint()
 
     def _init_runtime(
         self,
@@ -271,7 +287,10 @@ class DurableStore:
         self._mutex = threading.Lock()
         self._maint_mutex = threading.Lock()  # serializes ckpt/compact
         self._sealed: list[SegmentInfo] = list(sealed)
-        self._wal: IO[str] | None = None
+        self._wal: IO[bytes] | None = None
+        #: Each live element's JSON as journalled by its ``add``
+        #: record, by timetag, reused for its ``remove`` record.
+        self._wme_json: dict[int, str] = {}
         self._segment_path: Path | None = None
         self._segment_first = 0
         self._segment_records = 0
@@ -311,7 +330,9 @@ class DurableStore:
         Called with the mutex held (or before the store is shared).
         """
         path = self.directory / _segment_filename(self._lsn + 1)
-        self._wal = open(path, "a", encoding="utf-8")
+        # Unbuffered: each record reaches the OS in the write call
+        # that journals it, with no per-record flush.
+        self._wal = open(path, "ab", buffering=0)
         self._segment_path = path
         self._segment_first = self._lsn + 1
         self._segment_records = 0
@@ -332,7 +353,6 @@ class DurableStore:
         if self.fault is not None:
             self.fault.storage_fault(site="rotate:open")
         assert self._wal is not None
-        self._wal.flush()
         if self.durability in ("always", "batch"):
             os.fsync(self._wal.fileno())
         self._wal.close()
@@ -365,24 +385,25 @@ class DurableStore:
                 # a store that simply never journalled this delta.
                 self.fault.storage_fault(site=f"wal:{delta.kind}")
             lsn = self._lsn + 1
-            line = json.dumps(
-                {
-                    "lsn": lsn,
-                    "kind": delta.kind,
-                    "wme": serialize_wme(delta.wme),
-                }
-            ) + "\n"
-            self._wal.write(line)
+            wme = delta.wme
+            if delta.kind == "add":
+                wme_json = json.dumps(serialize_wme(wme))
+                self._wme_json[wme.timetag] = wme_json
+            else:
+                wme_json = self._wme_json.pop(wme.timetag, None)
+                if wme_json is None:  # present before the store attached
+                    wme_json = json.dumps(serialize_wme(wme))
+            # Byte-identical to json.dumps of the {lsn, kind, wme} dict.
+            line = (
+                f'{{"lsn": {lsn}, "kind": "{delta.kind}", '
+                f'"wme": {wme_json}}}\n'
+            ).encode()
+            _write_all(self._wal, line)
             self._lsn = lsn
             self._segment_records += 1
             self._segment_bytes += len(line)
             if self.durability == "always":
-                self._wal.flush()
                 os.fsync(self._wal.fileno())
-            elif self.durability == "batch":
-                self._wal.flush()
-            else:
-                self._wal.flush()
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -589,11 +610,11 @@ class DurableStore:
             self._attached = False
         with self._mutex:
             if self._wal is not None:
-                self._wal.flush()
                 if self.durability in ("always", "batch"):
                     os.fsync(self._wal.fileno())
                 self._wal.close()
                 self._wal = None
+            self._wme_json.clear()
 
     def __enter__(self) -> "DurableStore":
         return self

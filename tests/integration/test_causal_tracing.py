@@ -1,8 +1,8 @@
 """End-to-end acceptance tests for the causal span layer.
 
-The issue's acceptance scenario: a Fig 5.2-style conflict workload
-(one writer rule-(ii)-aborting one reader under the ``rc`` scheme)
-must yield
+The acceptance scenario: a Fig 5.2-style conflict workload (one
+writer and one reader of the same tuple under the ``rc`` scheme) must
+yield
 
 (a) a Chrome trace whose slices nest run -> cycle -> phase ->
     firing -> lock spans,
@@ -10,6 +10,11 @@ must yield
     and cover most of the makespan, and
 (c) at least one Rc-Wa abort span linking the victim to the
     committing Wa transaction's firing span.
+
+The engine plans Rc waves, so it defers the reader before it locks
+and names the writer that placed it; the rule-(ii) abort itself comes
+from a hand-driven :class:`~repro.locks.rc_scheme.RcScheme` wave
+(``rule_ii_drive`` in ``tests/conftest.py``).
 """
 
 import json
@@ -22,6 +27,7 @@ from repro.analysis.critpath import (
     coverage,
     cycle_breakdowns,
     makespan,
+    planned_deferrals,
 )
 from repro.engine import ParallelEngine, ThreadedWaveExecutor
 from repro.engine.multiuser import MultiUserEngine, Session
@@ -33,8 +39,9 @@ from repro.wm import WorkingMemory
 
 
 def conflict_rules():
-    """Writer (high priority) commits first and rule-(ii)-aborts the
-    reader's Rc lock on the shared ``flag`` tuple."""
+    """Writer (high priority) orders first; its commit would
+    rule-(ii)-abort the reader's Rc lock on the shared ``flag`` tuple,
+    so wave planning defers the reader instead."""
     toggle = (
         RuleBuilder("toggle", priority=10)
         .when("flag", id=var("f"), state="on")
@@ -104,12 +111,12 @@ class TestAcceptance:
         assert total > 0
         assert coverage(observer.spans) >= 0.90
 
-    def test_rc_wa_abort_links_victim_to_committer_firing(self):
+    def test_rc_wa_abort_links_victim_to_committer_firing(
+        self, rule_ii_drive
+    ):
         with obs.observed() as observer:
-            engine = run_conflict_workload(observer)
-        assert any(
-            wave.aborted for wave in engine.waves
-        ), "workload must produce an Rc-Wa abort"
+            outcome = rule_ii_drive(observer)
+        assert outcome.victims, "workload must produce an Rc-Wa abort"
         chains = abort_chains(observer.spans)
         assert chains, "no rc_wa_abort link recorded"
         chain = chains[0]
@@ -128,15 +135,42 @@ class TestAcceptance:
         assert flows
         assert flows[0]["args"]["from"] == chain.committer_span
 
-    def test_jsonl_export_round_trips_into_the_analyzer(self):
+    def test_jsonl_export_round_trips_into_the_analyzer(
+        self, rule_ii_drive
+    ):
         with obs.observed() as observer:
-            run_conflict_workload(observer)
+            rule_ii_drive(observer)
         dump = observer.spans.to_json_lines()
         rows = load_spans_json_lines(dump)
         assert cycle_breakdowns(rows)[0].buckets == (
             cycle_breakdowns(observer.spans)[0].buckets
         )
         assert abort_chains(rows)
+
+    def test_planned_deferral_names_the_admitted_writer(self):
+        with obs.observed() as observer:
+            engine = run_conflict_workload(observer)
+        assert engine.abort_count == 0
+        assert engine.waves[0].committed == ["toggle"]
+        assert engine.waves[0].deferred == ["observe"]
+        deferrals = planned_deferrals(observer.spans)
+        assert len(deferrals) == 1
+        deferral = deferrals[0]
+        assert (deferral.wave, deferral.rule, deferral.writer_rule) == (
+            1, "observe", "toggle"
+        )
+        assert deferral.objs == ("('flag', 1)",)
+        writer = observer.spans.spans("firing")[0]
+        assert writer.fields["txn"] == deferral.writer_txn
+        # The deferred reader never took a lock or got a transaction.
+        assert [s.fields["rule"] for s in observer.spans.spans("acquire")] == [
+            "toggle"
+        ]
+        snap = observer.metrics.snapshot()
+        assert snap["rc.planned_deferrals"]["value"] == 1
+        assert snap["rc.rule_ii_aborts"]["value"] == 0
+        rows = load_spans_json_lines(observer.spans.to_json_lines())
+        assert planned_deferrals(rows) == deferrals
 
 
 class TestEngineCoverage:

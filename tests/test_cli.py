@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
-from repro.cli import main
+import repro.obs as obs
+from repro.cli import _render_obs_report, main
 
 RULES = """
 (p greet
@@ -417,7 +419,8 @@ class TestObsExport:
 
 class TestObsReport:
     def test_report_shows_critical_paths_and_aborts(
-        self, conflict_rule_file, conflict_facts_file, capsys
+        self, conflict_rule_file, conflict_facts_file, capsys,
+        rule_ii_drive,
     ):
         code = main(
             ["obs", "report", str(conflict_rule_file),
@@ -428,8 +431,17 @@ class TestObsReport:
         assert code == 0
         assert "critical paths" in out
         assert "makespan" in out
-        assert "rule-(ii) abort attribution: 1 abort" in out
-        assert "observe" in out and "toggle" in out
+        # The engine defers the certain victim before it locks, and
+        # the report names the writer that placed it.
+        assert "rule-(ii) abort attribution: 0 aborts" in out
+        assert "rc wave planning: 1 deferred" in out
+        assert re.search(r"observe\s+<- toggle", out)
+        # A rule-(ii) abort renders victim <- committer.
+        with obs.observed() as observer:
+            rule_ii_drive(observer)
+        report = _render_obs_report(observer)
+        assert "rule-(ii) abort attribution: 1 abort" in report
+        assert re.search(r"observe\s+\S+\s+<- toggle", report)
 
 
 class TestObsDiff:

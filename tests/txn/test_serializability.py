@@ -77,6 +77,74 @@ class TestPrecedenceGraph:
         assert graph == {"t1": set(), "t2": set()}
 
 
+class TestLongHistories:
+    """A 1200-transaction dependency chain: read x(i), write x(i+1).
+
+    The checker once compared every pair of operations and searched
+    the graph recursively, so this chain raised RecursionError."""
+
+    N = 1200
+
+    def chain(self):
+        ops = []
+        for i in range(self.N):
+            ops += [r(f"t{i}", f"x{i}"), w(f"t{i}", f"x{i + 1}")]
+        return ops
+
+    def test_chain_is_serializable_in_commit_order(self):
+        ops = self.chain()
+        for i in range(self.N):
+            ops.append(c(f"t{i}"))
+        history = h(*ops)
+        assert is_conflict_serializable(history)
+        assert find_cycle(history) is None
+        assert equivalent_to_commit_order(history)
+        graph = precedence_graph(history)
+        assert sum(len(successors) for successors in graph.values()) == (
+            self.N - 1
+        )
+
+    def test_closed_chain_is_one_long_cycle(self):
+        # t0 reads the last transaction's write: t(N-1) -> t0.
+        ops = self.chain() + [r("t0", f"x{self.N}")]
+        for i in range(self.N):
+            ops.append(c(f"t{i}"))
+        cycle = find_cycle(h(*ops))
+        assert cycle is not None
+        assert len(cycle) == self.N + 1
+        assert cycle[0] == cycle[-1]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["t1", "t2", "t3", "t4"]),
+            st.sampled_from(["r", "w", "c"]),
+            st.sampled_from(["x", "y", "z"]),
+        ),
+        max_size=16,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_precedence_graph_matches_pairwise_definition(steps):
+    """Property: the per-object graph has exactly the edges of the
+    pairwise definition (every conflicting ordered pair)."""
+    ops = [
+        Operation(txn, kind, None if kind == "c" else obj)
+        for txn, kind, obj in steps
+    ]
+    history = h(*ops)
+    for committed_only in (True, False):
+        source = history.committed_projection() if committed_only else history
+        expected = {txn: set() for txn in source.transactions()}
+        listed = source.operations()
+        for i, earlier in enumerate(listed):
+            for later in listed[i + 1:]:
+                if conflicts(earlier, later):
+                    expected[earlier.txn_id].add(later.txn_id)
+        assert precedence_graph(history, committed_only) == expected
+
+
 class TestSerializationOrders:
     def test_orders_of_conflict_free_history(self):
         history = h(w("t1", "a"), w("t2", "b"), c("t1"), c("t2"))

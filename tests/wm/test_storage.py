@@ -61,6 +61,34 @@ class TestJournalAndRecovery:
         store2.close()
         assert recovered.value_identity_set() == wm.value_identity_set()
 
+    def test_store_attached_to_populated_memory_recovers(self, tmp_path):
+        # The WAL journals only deltas after attach; a modify of an
+        # element present before it once made recovery fail with
+        # "no element with timetag 1".
+        wm = WorkingMemory()
+        a = wm.make("order", id=1, status="open")
+        wm.make("order", id=2, status="open")
+        with DurableStore(wm, tmp_path):
+            wm.modify(a, {"status": "shipped"})
+            wm.remove(wm.elements("order")[-1])
+        recovered, store = DurableStore.open(tmp_path)
+        store.close()
+        assert recovered.value_identity_set() == wm.value_identity_set()
+        assert len(recovered) == len(wm)
+
+    def test_wal_records_are_plain_json_lines(self, tmp_path):
+        # The journal is written by hand for speed; its bytes must stay
+        # exactly json.dumps of {lsn, kind, wme} per line.
+        wm = WorkingMemory()
+        with DurableStore(wm, tmp_path, durability="none") as store:
+            a = wm.make("item", id=1, name="caf\u00e9", qty=1.5, tag=None)
+            wm.modify(a, {"qty": 2})
+            path = store.active_segment_path
+        lines = path.read_bytes().decode("ascii").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["kind"] for r in records] == ["add", "remove", "add"]
+        assert [json.dumps(r) for r in records] == lines
+
     def test_checkpoint_truncates_wal(self, tmp_path):
         wm = WorkingMemory()
         with DurableStore(wm, tmp_path) as store:
